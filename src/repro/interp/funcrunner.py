@@ -10,6 +10,7 @@ computes -- and a convenient way to run SlipC programs for their output.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -23,37 +24,61 @@ __all__ = ["GlobalStore", "FunctionalRunner"]
 
 
 class GlobalStore:
-    """The program's shared data: one numpy array per global."""
+    """The program's shared data: one flat ``array.array`` per global,
+    ``'q'`` (int64) for int globals and ``'d'`` (float64) for doubles.
+
+    ``buffers`` are what the simulator reads and writes element by
+    element (the shells' hit path indexes them directly); ``arrays``,
+    :meth:`array` and :meth:`value` hand out zero-copy NumPy views of
+    the same memory for verification and the oracles.  Writes to an
+    int global truncate toward zero, as NumPy int64 assignment does.
+    """
 
     def __init__(self, program: CompiledProgram):
         self.program = program
-        self.arrays: List[np.ndarray] = []
+        self.buffers: List[array] = []
         for g in program.globals:
-            dtype = np.int64 if g.typ == "int" else np.float64
-            arr = np.zeros(g.size, dtype=dtype)
+            buf = array("q" if g.typ == "int" else "d", bytes(8 * g.size))
+            self.buffers.append(buf)
             if g.init is not None:
-                arr[0] = g.init
-            self.arrays.append(arr)
+                self.write(g.index, 0, g.init)
+
+    def _view(self, gidx: int) -> np.ndarray:
+        buf = self.buffers[gidx]
+        return np.frombuffer(buf, dtype=_DTYPES[buf.typecode])
+
+    @property
+    def arrays(self) -> List[np.ndarray]:
+        """One writable int64/float64 NumPy view per global, aliasing
+        its buffer."""
+        return [self._view(i) for i in range(len(self.buffers))]
 
     def read(self, gidx: int, flat: int):
         """Read one element of a shared global."""
-        return self.arrays[gidx][flat].item()
+        return self.buffers[gidx][flat]
 
     def write(self, gidx: int, flat: int, value) -> None:
         """Write one element of a shared global."""
-        self.arrays[gidx][flat] = value
+        buf = self.buffers[gidx]
+        try:
+            buf[flat] = value
+        except TypeError:           # a float into an int global
+            buf[flat] = int(value)
 
     def array(self, name: str) -> np.ndarray:
         """The named global as a shaped NumPy view."""
         g = self.program.global_named(name)
-        return self.arrays[g.index].reshape(g.dims or (1,))
+        return self._view(g.index).reshape(g.dims or (1,))
 
     def value(self, name: str):
         """Scalar value (or array view) of the named global."""
         g = self.program.global_named(name)
         if g.dims:
             return self.array(name)
-        return self.arrays[g.index][0].item()
+        return self.buffers[g.index][0]
+
+
+_DTYPES = {"q": np.int64, "d": np.float64}
 
 
 class FunctionalRunner:

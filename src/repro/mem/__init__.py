@@ -5,13 +5,12 @@ from .address import (PRIVATE_BASE, PRIVATE_STRIDE, SHARED_BASE,
                       private_base)
 from .cache import Cache, CacheLine, MESIState
 from .directory import DirEntry, Directory, DirState
-from .memsys import (AccessResult, CoherentMemorySystem, NodeMemory,
-                     PerfectMemory)
+from .memsys import AccessResult, CoherentMemorySystem, NodeMemory
 
 __all__ = [
     "PRIVATE_BASE", "PRIVATE_STRIDE", "SHARED_BASE",
     "Placement", "SharedAllocator", "is_shared_addr", "private_base",
     "Cache", "CacheLine", "MESIState",
     "DirEntry", "Directory", "DirState",
-    "AccessResult", "CoherentMemorySystem", "NodeMemory", "PerfectMemory",
+    "AccessResult", "CoherentMemorySystem", "NodeMemory",
 ]

@@ -78,6 +78,10 @@ class ThreadShell:
         # from "busy" to "memory" when the run's breakdown is collected.
         self._debt = 0.0
         self.fast_mem_cycles = 0.0
+        # Hoisted for the hit path, which runs once per shared access.
+        self._ms = machine.memsys
+        self._gbase = machine.gbase
+        self._bufs = machine.store.buffers
 
     # ------------------------------------------------------------ accounting
 
@@ -181,27 +185,31 @@ class ThreadShell:
     DEBT_LIMIT = 400.0
 
     def _fast_read(self, gidx: int, flat: int):
-        """VM callback: synchronous load path for cache hits."""
-        if self.dormant:
+        """VM callback: synchronous load path for cache hits.  The
+        address arithmetic (``Machine.gaddr``) and the element read
+        (``GlobalStore.read``) are inlined; an R-stream's role is fixed,
+        so only A-streams test for dormancy."""
+        if self.role == "A" and self.dormant:
             self._debt += 1.0
             if self._prof is not None:
                 self._prof.fast(1.0, 0.0, "l1")
-            return self.machine.store.read(gidx, flat)
-        if self._debt > self.DEBT_LIMIT:
+            return self._bufs[gidx][flat]
+        debt = self._debt
+        if debt > self.DEBT_LIMIT:
             return MISS
-        addr = self.machine.gaddr(gidx, flat)
-        lat = self.machine.memsys.try_fast_load(self.node, self.cpu, addr,
-                                                self.role)
+        lat = self._ms.try_fast_load(self.node, self.cpu,
+                                     self._gbase[gidx] + flat * 8, self.role)
         if lat is None:
             return MISS
-        self._debt += 1.0
+        debt += 1.0
         if lat > 1.0:
             self.fast_mem_cycles += lat - 1.0
-            self._debt += lat - 1.0
+            debt += lat - 1.0
+        self._debt = debt
         if self._prof is not None:
             self._prof.fast(1.0, lat - 1.0 if lat > 1.0 else 0.0,
                             "l1" if lat <= 1.0 else "l2")
-        return self.machine.store.read(gidx, flat)
+        return self._bufs[gidx][flat]
 
     def _fast_write(self, gidx: int, flat: int, value) -> bool:
         """VM callback: synchronous store path.  Returns True when fully
@@ -212,16 +220,15 @@ class ThreadShell:
                 if self._prof is not None:
                     self._prof.fast(1.0, 0.0, "l1")
                 return True
-            addr = self.machine.gaddr(gidx, flat)
-            if not self.machine.memsys.prefetch_would_fire(self.node, addr):
+            addr = self._gbase[gidx] + flat * 8
+            if not self._ms.prefetch_would_fire(self.node, addr):
                 self._debt += 1.0
                 if self._prof is not None:
                     self._prof.fast(1.0, 0.0, "l1")
                 return True
             return False               # slow path issues the prefetch
-        addr = self.machine.gaddr(gidx, flat)
-        lat = self.machine.memsys.try_fast_store(self.node, self.cpu, addr,
-                                                 self.role)
+        lat = self._ms.try_fast_store(self.node, self.cpu,
+                                      self._gbase[gidx] + flat * 8, self.role)
         if lat is None:
             return False
         self._debt += lat
@@ -229,7 +236,11 @@ class ThreadShell:
         if self._prof is not None:
             self._prof.fast(1.0, lat - 1.0,
                             "l1" if lat <= 1.0 else "l2")
-        self.machine.store.write(gidx, flat, value)
+        buf = self._bufs[gidx]
+        try:
+            buf[flat] = value
+        except TypeError:               # GlobalStore.write's int truncation
+            buf[flat] = int(value)
         return True
 
     def _flush_debt(self):

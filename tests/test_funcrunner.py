@@ -25,6 +25,53 @@ void main() { m[1][1] = 7.0; }
     assert store.array("m")[1, 1] == 9.0
 
 
+def _store():
+    img = compile_source("""
+int k;
+int idx[3];
+double x[2];
+void main() { }
+""")
+    return img, GlobalStore(img)
+
+
+def test_global_store_int_writes_truncate_toward_zero():
+    img, store = _store()
+    k = img.global_named("k").index
+    store.write(k, 0, 3.7)
+    assert store.read(k, 0) == 3 and type(store.read(k, 0)) is int
+    store.write(k, 0, -3.7)
+    assert store.value("k") == -3
+    x = img.global_named("x").index
+    store.write(x, 1, 2)                        # ints widen to doubles
+    assert store.read(x, 1) == 2.0 and type(store.read(x, 1)) is float
+
+
+def test_global_store_views_are_typed_and_alias_the_buffers():
+    img, store = _store()
+    assert [a.dtype for a in store.arrays] == [np.int64, np.int64,
+                                               np.float64]
+    view = store.array("idx")
+    view[2] = 5                                 # view -> buffer
+    assert store.read(img.global_named("idx").index, 2) == 5
+    store.write(img.global_named("x").index, 0, 1.5)   # buffer -> view
+    assert store.arrays[2][0] == 1.5
+    store.arrays[2][0] += 1.0                   # in-place on a fresh view
+    assert store.value("x")[0] == 2.5
+
+
+def test_global_store_pickle_round_trip_is_exact():
+    import pickle
+    img, store = _store()
+    store.write(img.global_named("k").index, 0, -(2 ** 62))
+    store.write(img.global_named("x").index, 1, 0.1 + 0.2)
+    back = pickle.loads(pickle.dumps(store))
+    for a, b in zip(store.arrays, back.arrays):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    back.array("x")[0] = 9.0                    # still aliased after load
+    assert back.value("x")[0] == 9.0
+
+
 def test_int_arrays_are_integer_typed():
     r = run("""
 int idx[4];
