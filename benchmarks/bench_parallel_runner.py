@@ -5,8 +5,8 @@ compile cache, serial warm, and under a process pool -- records the
 per-stage compile/simulate split, and writes the whole measurement to
 ``BENCH_parallel_runner.json`` at the repository root so future PRs
 have a wall-clock trajectory to compare against (cycle counts are
-additionally asserted bit-identical across contexts, the determinism
-guarantee of ``repro.harness.exec``).
+additionally asserted bit-identical across transports, the
+determinism guarantee of :class:`repro.harness.ExecutionPipeline`).
 
 Knobs (see conftest): ``REPRO_BENCH_SIZE``, ``REPRO_BENCH_CMPS``;
 ``REPRO_BENCH_POOL_JOBS`` sets the pool width measured here (default
@@ -21,9 +21,8 @@ import time
 
 from conftest import bench_cfg, bench_size, publish
 from repro.config import PAPER_MACHINE
-from repro.harness import (ProcessPoolContext, SerialContext,
-                           render_table)
-from repro.harness.exec import static_specs
+from repro.harness import (ExecutionPipeline, PoolTransport, render_table,
+                           static_specs)
 from repro.npb import clear_cache
 
 BASELINE_PATH = pathlib.Path(__file__).parent.parent / \
@@ -53,16 +52,16 @@ def _measure():
                          SMOKE_BENCHMARKS, SMOKE_CONFIGS)
     clear_cache()                       # cold in-memory compile cache
     t0 = time.perf_counter()
-    cold = SerialContext().run(specs)
+    cold = ExecutionPipeline().run(specs)
     t_cold = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    warm = SerialContext().run(specs)   # compile cache now hot
+    warm = ExecutionPipeline().run(specs)   # compile cache now hot
     t_warm = time.perf_counter() - t0
 
     jobs = _pool_jobs()
     t0 = time.perf_counter()
-    pooled = ProcessPoolContext(jobs=jobs).run(specs)
+    pooled = ExecutionPipeline(PoolTransport(jobs=jobs)).run(specs)
     t_pool = time.perf_counter() - t0
 
     assert [r.cycles for r in warm] == [r.cycles for r in cold]
@@ -128,7 +127,7 @@ def _measure_null_overhead():
                        kw["configs"])
     null = static_specs(kw["cfg"], kw["size"], kw["benchmarks"],
                         kw["configs"], obs="null")
-    ctx = SerialContext()
+    ctx = ExecutionPipeline()
     baseline = ctx.run(agg)              # also warms the compile cache
     agg_s, null_s = [], []
     for _ in range(3):

@@ -96,7 +96,7 @@ def _draw_payload(kind: str, rng: random.Random):
 class FaultConfig:
     """Hashable, picklable description of one fault campaign.
 
-    This is what travels inside a :class:`~repro.harness.exec.RunSpec`
+    This is what travels inside a :class:`~repro.harness.jobs.RunSpec`
     (frozen specs must stay hashable); the heavier :class:`FaultPlan`
     is rebuilt from it inside each worker, so serial and pooled runs
     derive identical schedules.

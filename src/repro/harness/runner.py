@@ -144,8 +144,7 @@ def run_static_suite(cfg: MachineConfig = PAPER_MACHINE,
     with a submission-order-preserving ``run(specs)`` -- an
     :class:`~repro.harness.pipeline.ExecutionPipeline` (serial by
     default; give it a pool or spool transport, a checkpoint journal,
-    a memo store) or a legacy :mod:`~repro.harness.exec` context.
-    Results are bit-identical through any of them."""
+    a memo store).  Results are bit-identical through any of them."""
     from .jobs import static_specs
     from .pipeline import ExecutionPipeline
     specs = static_specs(cfg, size, benchmarks, configs, verify=verify,

@@ -72,7 +72,7 @@ from ..obs.telemetry import (NULL_TELEMETRY, Telemetry, claim_is_stalled,
                              heartbeat_age, telemetry_area)
 from ..runtime import SimDeadlockError
 from . import hazards
-from .integrity import atomic_pickle as _integrity_pickle
+from .integrity import atomic_pickle
 from .integrity import gc_tmp as _gc_tmp_dir
 from .integrity import load_verified
 from .jobs import WorkUnit, execute_spec, quarantined_run, unit_key
@@ -416,12 +416,6 @@ class _UnitFailure:
         return RuntimeError(f"spool worker failure: {self._repr}")
 
 
-def _atomic_pickle(payload, path: Path, what: str = "result") -> None:
-    """Integrity-framed atomic publish (see :mod:`.integrity`); kept
-    as the spool's single write seam."""
-    _integrity_pickle(payload, path, what=what)
-
-
 class _Spool:
     """The on-disk protocol shared by driver and workers.
 
@@ -465,7 +459,7 @@ class _Spool:
         loss, since the driver can still execute the unit inline."""
         if self.has_result(key) or self.unit_path(key).is_file():
             return False
-        _atomic_pickle(spec, self.unit_path(key), what="unit")
+        atomic_pickle(spec, self.unit_path(key), what="unit")
         return True
 
     def unit_path(self, key: str) -> Path:
@@ -606,7 +600,7 @@ class _Spool:
         return self.result_path(key).is_file()
 
     def publish(self, key: str, payload) -> None:
-        _atomic_pickle(payload, self.result_path(key), what="result")
+        atomic_pickle(payload, self.result_path(key), what="result")
 
     def load_result(self, key: str):
         return load_verified(self.result_path(key),

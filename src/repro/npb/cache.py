@@ -13,8 +13,9 @@ source template, or the compiler itself is an automatic miss.
 Two layers:
 
 * an in-process dictionary (always on), shared by every run in a
-  process -- including a ``ProcessPoolContext`` worker, which compiles
-  each distinct kernel at most once over its lifetime;
+  process -- including a :class:`~repro.harness.transport.PoolTransport`
+  worker, which compiles each distinct kernel at most once over its
+  lifetime;
 * an optional on-disk layer under ``~/.cache/repro/compile`` (override
   with ``REPRO_CACHE_DIR``; disable with ``REPRO_DISK_CACHE=0``) so
   repeated *invocations* -- and sibling pool workers -- share compiles.
@@ -110,18 +111,16 @@ class CompileCache:
     @staticmethod
     def key_for(source: str) -> str:
         """Content hash of a compile request: source + compiler version
-        + the optimizer configuration that shapes the opcode stream.
+        + the ``compile`` hot-path tier flag.
 
-        The superinstruction-fusion and generated-code tiers change
-        what ``compile_source`` emits without changing any compiler
-        source file, so both must be part of the key -- otherwise a
-        disk entry produced with a tier on would be served to a
-        ``REPRO_HOTPATH`` ablation run with it off (and vice versa:
-        an all-off image without ``gen_src`` would silently drop a
-        compile-tier process back to the interpreter)."""
+        The generated-code tier changes what ``compile_source`` emits
+        (``Code.gen_src``) without changing any compiler source file,
+        so its flag must be part of the key -- otherwise an image built
+        on the reference path (``REPRO_HOTPATH=``, no ``gen_src``)
+        would silently drop a compile-tier process back to the
+        interpreter, and vice versa."""
         h = hashlib.sha256()
         h.update(compiler_fingerprint().encode())
-        h.update(b"fuse=1" if hotpath_enabled("fuse") else b"fuse=0")
         h.update(b"compile=1" if hotpath_enabled("compile")
                  else b"compile=0")
         h.update(source.encode())

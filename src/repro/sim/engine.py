@@ -9,10 +9,8 @@ stack.
 
 Determinism: events scheduled for the same timestamp are processed in
 scheduling order, so repeated runs of the same configuration produce
-identical cycle counts.  Two queue disciplines implement that same
-total order (see ``Engine``): a calendar/bucket queue (the default)
-and a ``heapq`` of ``(time, seq, proc, value)`` tuples kept as the
-``REPRO_HOTPATH`` ablation reference.
+identical cycle counts.  The queue is one ``heapq`` of
+``(time, seq, proc, value)`` tuples, so that order is the tuple order.
 """
 
 from __future__ import annotations
@@ -20,7 +18,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from ..hotpath import hotpath_enabled
 from ..obs.probe import NULL_PROBE, Probe
 
 __all__ = ["SimEvent", "Process", "Engine", "SimulationError", "Interrupt"]
@@ -207,52 +204,18 @@ class _TimerFire:
 class Engine:
     """The event loop: a clock plus an ordered queue of resumptions.
 
-    Two queue disciplines produce the identical resumption order:
-
-    * **calendar/bucket queue** (default): a dict of timestamp ->
-      FIFO bucket plus a small heap of *distinct* timestamps.  Same-time
-      entries append to an existing bucket for O(1) -- no heap push, no
-      tuple comparison -- which is the common case on the simulator's
-      zero-delay cascades; only the first entry per distinct timestamp
-      pays a heap operation.  Non-integer times need no special case:
-      buckets are keyed by the exact float timestamp.
-    * **heapq fallback** (``REPRO_HOTPATH`` without ``engine``, or
-      ``use_buckets=False``): the original ``(time, seq, proc, value)``
-      heap, kept as the ablation/property-test reference.
-
-    Both orders are "time, then scheduling order": a bucket's FIFO *is*
-    seq order because ``_schedule`` appends monotonically.
+    The queue is a ``heapq`` of ``(time, seq, proc, value)`` tuples:
+    resumptions run in time order, and same-time resumptions in
+    scheduling order (``seq`` rises with every ``_schedule``).
     """
 
-    def __init__(self, obs: Probe = NULL_PROBE,
-                 use_buckets: Optional[bool] = None):
+    def __init__(self, obs: Probe = NULL_PROBE):
         self.now: float = 0.0
         self._seq = 0
         self._nprocs = 0
+        self._queue: list = []           # (time, seq, proc, value)
         self.obs = obs
         self.trace_hook: Optional[Callable[[float, Process], None]] = None
-        if use_buckets is None:
-            use_buckets = hotpath_enabled("engine")
-        self.use_buckets = use_buckets
-        if use_buckets:
-            self._buckets: dict = {}     # time -> list[(proc, value)]
-            self._times: list = []       # heap of distinct bucket times
-            # The bucket being drained right now.  It is popped from
-            # ``_buckets``/``_times`` wholesale, then walked by index;
-            # entries scheduled *at* its timestamp while it drains land
-            # in a fresh dict bucket and are reached afterwards --
-            # exactly the (time, seq) order of the heap discipline.
-            self._cur: Optional[list] = None
-            self._cur_t: float = 0.0
-            self._cur_i: int = 0
-            # Bind the hot entry points once; SimEvent.fire and
-            # Process._dispatch go through these attributes.
-            self._schedule = self._schedule_bucket
-            self.step = self._step_bucket
-        else:
-            self._queue: list = []       # (time, seq, proc, value)
-            self._schedule = self._schedule_heap
-            self.step = self._step_heap
 
     # -- process management -------------------------------------------------
 
@@ -314,84 +277,27 @@ class Engine:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule_bucket(self, proc, delay: float, value: Any) -> None:
-        # Innermost write of the whole simulator.  The common case --
-        # another entry already exists at this timestamp -- is one dict
-        # probe plus one list append; only a fresh timestamp pays a
-        # heap push, and nothing ever pays a tuple comparison.  The
-        # currently draining bucket is *not* in the dict, so same-time
-        # entries scheduled during a drain start a new bucket that is
-        # reached after it -- preserving scheduling order.
-        t = self.now + delay
-        b = self._buckets.get(t)
-        if b is None:
-            self._buckets[t] = [(proc, value)]
-            heapq.heappush(self._times, t)
-        else:
-            b.append((proc, value))
-
-    def _schedule_heap(self, proc, delay: float, value: Any) -> None:
-        # Reference discipline: one attribute store + one heap push.
+    def _schedule(self, proc, delay: float, value: Any) -> None:
+        # Innermost write of the whole simulator: one attribute store
+        # plus one heap push.
         self._seq = seq = self._seq + 1
         heapq.heappush(self._queue, (self.now + delay, seq, proc, value))
 
     def next_time(self) -> Optional[float]:
         """Earliest queued resumption time (``None`` on an empty queue).
 
-        Dead entries count: like the queue head in the heap discipline,
-        the front may belong to a killed process that will be skipped.
+        Dead entries count: the front may belong to a killed process
+        that will be skipped.
         """
-        if self.use_buckets:
-            cur = self._cur
-            if cur is not None and self._cur_i < len(cur):
-                return self._cur_t      # draining bucket still has entries
-            times = self._times
-            return times[0] if times else None
         q = self._queue
         return q[0][0] if q else None
 
     # -- execution ----------------------------------------------------------
     #
-    # step() is THE drain loop (bound per-instance to the discipline's
-    # implementation); run() below layers the until=/max_steps bounds on
-    # top of it, so each discipline's pop logic exists exactly once.
+    # step() is THE drain loop; run() below layers the until=/max_steps
+    # bounds on top of it.
 
-    def _step_bucket(self) -> bool:
-        """Run one resumption.  Returns False when the queue is empty.
-
-        The front bucket is detached from the dict/heap wholesale and
-        walked by index -- one heap pop *per distinct timestamp*, one
-        index bump per resumption.  A dispatched process that schedules
-        at the current time cannot mutate the detached list (the dict
-        no longer holds it), so the walk is append-safe by construction.
-        """
-        cur = self._cur
-        i = self._cur_i
-        while True:
-            if cur is not None:
-                n = len(cur)
-                while i < n:
-                    proc, value = cur[i]
-                    i += 1
-                    if proc.alive:
-                        self._cur_i = i
-                        self.now = t = self._cur_t
-                        if self.trace_hook is not None:
-                            self.trace_hook(t, proc)
-                        proc._step(value)
-                        return True
-                self._cur = cur = None
-            times = self._times
-            if not times:
-                self._cur_i = 0
-                return False
-            t = heapq.heappop(times)
-            cur = self._buckets.pop(t)
-            self._cur = cur
-            self._cur_t = t
-            i = 0
-
-    def _step_heap(self) -> bool:
+    def step(self) -> bool:
         """Run one resumption.  Returns False when the queue is empty."""
         queue = self._queue
         pop = heapq.heappop

@@ -11,7 +11,8 @@ from repro.config import PAPER_MACHINE
 from repro.faults import FAULT_CLASSES, FaultConfig
 from repro.harness.chaos import (CHAOS_BENCHMARKS, chaos_specs,
                                  oracle_check, render_chaos, run_chaos)
-from repro.harness.exec import ProcessPoolContext, RunSpec, execute_spec
+from repro.harness import (ExecutionPipeline, PoolTransport, RunSpec,
+                           execute_spec)
 
 SUBSET = ("cg", "mg")
 
@@ -64,7 +65,7 @@ def test_subset_matrix_holds_the_invariant(serial_report):
 
 def test_chaos_is_deterministic_across_contexts(serial_report):
     pooled = run_chaos(_subset_specs(),
-                       context=ProcessPoolContext(jobs=2))
+                       context=ExecutionPipeline(PoolTransport(jobs=2)))
     key = lambda o: (o.bench, o.seed, o.classes, o.status, o.recoveries,
                      o.cycles, tuple(sorted(o.injected.items())),
                      tuple(o.recovery_sites))
@@ -88,7 +89,7 @@ def test_fault_counters_survive_pool_merge():
                         timeout_cycles=5e6,
                         cfg=PAPER_MACHINE.with_(n_cmps=8))
     serial = execute_spec(spec).result
-    pooled = ProcessPoolContext(jobs=2).run([spec, spec])
+    pooled = ExecutionPipeline(PoolTransport(jobs=2)).run([spec, spec])
     for run in pooled:
         r = run.result
         assert r.rt_stats == serial.rt_stats

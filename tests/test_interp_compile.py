@@ -17,10 +17,12 @@ import random
 import pytest
 
 from repro.compiler import compile_source
+from repro.compiler.optimize import optimize_code
 from repro.config import PAPER_MACHINE
 from repro.harness import RunSpec, execute_spec
 from repro.hotpath import reset_for_tests
 from repro.interp import VM, Done, IoOut, MemRead, MemWrite, RtCall
+from repro.interp.compile import attach_generated
 from repro.interp.events import TimeSlice
 from repro.interp.interpreter import MISS, VMError
 from repro.obs.profile import TrackProfile
@@ -216,14 +218,14 @@ def test_random_programs_identical_streams(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 3, 6, 9, 12])
 def test_random_programs_identical_without_fusion(seed, monkeypatch):
-    """Same property on unfused opcode streams (tier ``compile`` alone):
-    the generated code's cost folding must match the pre-fusion
-    translation too."""
-    monkeypatch.setenv("REPRO_HOTPATH", "compile")
+    """Same property on unfused opcode streams (peephole-optimized but
+    not fused): the generated code's cost folding must match the
+    pre-fusion translation too."""
     monkeypatch.setenv("REPRO_COMPILE_STRICT", "1")
-    reset_for_tests()
-    prog = compile_source(make_program(seed))
-    assert all(f.gen_src is not None for f in prog.funcs)
+    prog = compile_source(make_program(seed), optimize=False)
+    for code in prog.funcs:
+        optimize_code(code)
+    assert attach_generated(prog)
     assert_same_run(prog, fast=False)
     assert_same_run(prog, fast=True)
 
@@ -254,7 +256,7 @@ def test_compiled_tier_attaches_and_activates():
 
 
 def test_tier_off_means_no_gen_src_and_interpreter(monkeypatch):
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     assert all(f.gen_src is None for f in prog.funcs)
@@ -268,7 +270,7 @@ def test_image_without_gen_src_falls_back(monkeypatch):
     """A compile-tier process handed an image built with the tier off
     (stale pickle, foreign producer) must run it interpreted -- the
     all-or-nothing gate returns None, never a partial table."""
-    monkeypatch.setenv("REPRO_HOTPATH", "engine,fuse")
+    monkeypatch.setenv("REPRO_HOTPATH", "")
     reset_for_tests()
     prog = compile_source(SRC_LOOP)
     monkeypatch.delenv("REPRO_HOTPATH")
@@ -439,7 +441,7 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     results = {}
-    for tiers in (None, "engine,fuse"):
+    for tiers in (None, ""):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -447,7 +449,7 @@ def test_benchmark_identical_with_tier_on_and_off(monkeypatch):
         reset_for_tests()
         run = execute_spec(RunSpec.make("cg", "G0", size="test", cfg=cfg))
         results[tiers] = run
-    on, off = results[None], results["engine,fuse"]
+    on, off = results[None], results[""]
     assert on.cycles == off.cycles
     assert on.result.rt_stats == off.result.rt_stats
     assert on.result.r_breakdown == off.result.r_breakdown
@@ -462,7 +464,7 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
     monkeypatch.setenv("REPRO_DISK_CACHE", "0")
     cfg = PAPER_MACHINE.with_(n_cmps=4)
     outcomes = {}
-    for tiers in (None, "engine,fuse"):
+    for tiers in (None, ""):
         if tiers is None:
             monkeypatch.delenv("REPRO_HOTPATH", raising=False)
         else:
@@ -474,4 +476,4 @@ def test_fault_armed_shells_run_interpreted(monkeypatch):
         r = execute_spec(spec).result
         outcomes[tiers] = (r.cycles, r.rt_stats, r.faults["fired"],
                            r.recoveries)
-    assert outcomes[None] == outcomes["engine,fuse"]
+    assert outcomes[None] == outcomes[""]

@@ -8,6 +8,8 @@ from repro.mem import CoherentMemorySystem, MESIState
 from repro.mem.address import SHARED_BASE
 from repro.sim import Engine
 
+from .test_engine_queue import SortedModelEngine
+
 
 def make(n_cmps=4, **kw):
     cfg = PAPER_MACHINE.with_(n_cmps=n_cmps, placement="round_robin", **kw)
@@ -237,14 +239,13 @@ def test_concurrent_writers_serialize_on_directory_lock():
     assert ms.nodes[loser].l2.peek(a) is None
 
 
-def _contended_workload(use_buckets, seed):
+def _contended_workload(eng, seed):
     """Mixed random load/store/prefetch traffic from every CPU over a
     small shared line set -- dense same-line races, upgrades,
     invalidation rounds and 3-hop interventions.  Returns the engine
     end time plus the completion-ordered access trace."""
     import random
     cfg = PAPER_MACHINE.with_(n_cmps=4, placement="round_robin")
-    eng = Engine(use_buckets=use_buckets)
     ms = CoherentMemorySystem(eng, cfg)
     rng = random.Random(seed)
     lines = [addr_homed_at(cfg, n) + k * cfg.line_bytes
@@ -275,8 +276,9 @@ def _contended_workload(use_buckets, seed):
 
 @pytest.mark.parametrize("seed", [11, 23, 47])
 def test_contended_traffic_identical_across_queue_disciplines(seed):
-    """Property: the bucket queue and the heapq reference give the same
-    completion trace, unsorted -- even same-instant completions appear
-    in the same order -- on densely contended coherence traffic."""
-    assert (_contended_workload(True, seed)
-            == _contended_workload(False, seed))
+    """Property: the engine and the sorted ``(t, seq)`` queue model
+    give the same completion trace, unsorted -- even same-instant
+    completions appear in the same order -- on densely contended
+    coherence traffic."""
+    assert (_contended_workload(Engine(), seed)
+            == _contended_workload(SortedModelEngine(), seed))
