@@ -77,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["Code", "GlobalDecl", "CompiledProgram", "OP_COST",
-           "RT_RETURNS", "disassemble"]
+           "BINOP_FIELDS", "RT_RETURNS", "instr_cost", "disassemble"]
 
 #: Busy-cycle cost charged per executed instruction (default 1).
 OP_COST: Dict[str, float] = {
@@ -117,6 +117,36 @@ ICALL_COST: Dict[str, float] = {
     "sqrt": 12, "exp": 16, "log": 16, "pow": 20,
     "fabs": 1, "min": 1, "max": 1, "mod": 8, "floor": 2,
 }
+
+#: Positions of the operator names inside the argument of every
+#: binop-bearing superinstruction (``binop`` itself carries the bare
+#: name as its argument).
+BINOP_FIELDS: Dict[str, Tuple[int, ...]] = {
+    "cjf": (0,), "cb": (1,), "lb": (1,),
+    "ll2b": (2,), "lcb": (2,), "lcbs": (2,), "llbs": (2,),
+    "lcjf": (2,), "lljf": (2,), "lcbsj": (2,),
+    "cblb": (1, 3), "lbcb": (1, 3), "cblbge": (1, 3), "lcblb": (2, 4),
+    "ix": (2, 4, 6, 8), "ixge": (2, 4, 6, 8),
+}
+
+
+def instr_cost(ins: Tuple) -> float:
+    """One instruction's full static busy-cycle charge: ``OP_COST``
+    plus ``BINOP_COST`` for every operator it applies, or
+    ``ICALL_COST`` for an intrinsic.  The one cost rule of both
+    execution tiers -- the interpreter folds it into its translated
+    stream, the generated code into its block accumulators.  Raises
+    ``KeyError`` for an unknown opcode."""
+    op = ins[0]
+    cost = OP_COST[op]
+    if op == "binop":
+        return cost + BINOP_COST.get(ins[1], 0)
+    if op == "icall":
+        return cost + ICALL_COST.get(ins[1][0], 1)
+    for i in BINOP_FIELDS.get(op, ()):
+        cost += BINOP_COST.get(ins[1][i], 0)
+    return cost
+
 
 #: Runtime calls that push a result value.
 RT_RETURNS = frozenset({

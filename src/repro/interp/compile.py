@@ -12,9 +12,9 @@ straight-line Python over height-indexed virtual stack registers
 Exactness contract (the golden tables must be bit-identical with the
 tier on or off):
 
-* **cycles** -- every instruction's static charge (``OP_COST`` plus the
-  per-operator ``BINOP_COST`` / per-intrinsic ``ICALL_COST``, exactly
-  as :func:`~repro.interp.interpreter._translate` folds them) is
+* **cycles** -- every instruction's static charge
+  (:func:`~repro.compiler.bytecode.instr_cost`, the same rule
+  :func:`~repro.interp.interpreter._translate` folds) is
   constant-folded into per-block accumulator updates ``c = c + <sum>``;
   event returns flush ``vm.pending_cycles += c + <tail>`` just like the
   interpreter flushes its local ``cycles``.  An exception mid-block
@@ -53,8 +53,8 @@ import math
 import os
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST,
-                                 RT_RETURNS, Code, CompiledProgram)
+from ..compiler.bytecode import (RT_RETURNS, Code, CompiledProgram,
+                                 instr_cost)
 from .events import Done, IoOut, MemRead, MemWrite, RtCall, TimeSlice
 from .interpreter import (MISS, VMError, Frame, _DEOPT, _exp, _log,
                           _op_div, _op_mod, _pow, _sqrt)
@@ -125,33 +125,6 @@ _ICALL_INLINE = {
     "floor": "_floor(%s)",
     "pow": "_pow(%s, %s)", "mod": "_mod(%s, %s)",
 }
-
-
-def _cost(ins: Tuple) -> float:
-    """One instruction's folded static charge -- must mirror
-    :func:`repro.interp.interpreter._translate` exactly."""
-    op = ins[0]
-    B = BINOP_COST.get
-    if op == "binop":
-        return OP_COST[op] + B(ins[1], 0)
-    if op == "icall":
-        name, _n = ins[1]
-        return OP_COST[op] + ICALL_COST.get(name, 1)
-    one = {"cb": 1, "lb": 1, "cjf": 0, "ll2b": 2, "lcb": 2, "lcbs": 2,
-           "llbs": 2, "lcjf": 2, "lljf": 2, "lcbsj": 2}
-    if op in one:
-        return OP_COST[op] + B(ins[1][one[op]], 0)
-    if op in ("cblb", "lbcb", "cblbge"):
-        return OP_COST[op] + B(ins[1][1], 0) + B(ins[1][3], 0)
-    if op == "lcblb":
-        return OP_COST[op] + B(ins[1][2], 0) + B(ins[1][4], 0)
-    if op in ("ix", "ixge"):
-        a, k1, o1, b, o2, k2, o3, c, o4 = ins[1][:9]
-        return OP_COST[op] + sum(B(o, 0) for o in (o1, o2, o3, o4))
-    try:
-        return OP_COST[op]
-    except KeyError:
-        raise NotCompilable("unknown opcode %r" % (op,)) from None
 
 
 def _succ(ins: Tuple, pc: int, d: int) -> List[Tuple[int, int]]:
@@ -455,7 +428,10 @@ def generate_source(code: Code) -> Tuple[str, Tuple]:
             ins = instrs[pc]
             op = ins[0]
             arg = ins[1] if len(ins) > 1 else None
-            pend += _cost(ins)
+            try:
+                pend += instr_cost(ins)
+            except KeyError:
+                raise NotCompilable("unknown opcode %r" % (op,)) from None
 
             if op == "const":
                 mat()

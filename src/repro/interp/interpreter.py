@@ -19,8 +19,8 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-from ..compiler.bytecode import (BINOP_COST, ICALL_COST, OP_COST, Code,
-                                 CompiledProgram)
+from ..compiler.bytecode import (BINOP_FIELDS, Code, CompiledProgram,
+                                 instr_cost)
 from ..hotpath import hotpath_enabled
 from .events import Done, IoOut, MemRead, MemWrite, RtCall, TimeSlice
 
@@ -128,11 +128,15 @@ _BINOP_FN = {
 }
 
 
-def _binop(op: str, a, b):
+def _binop_fn(op: str):
     fn = _BINOP_FN.get(op)
     if fn is None:
         raise VMError(f"unknown binop {op!r}")
-    return fn(a, b)
+    return fn
+
+
+def _binop(op: str, a, b):
+    return _binop_fn(op)(a, b)
 
 
 def _sqrt(a):
@@ -178,10 +182,8 @@ _INTRINSICS = {
 # instruction stream instead of comparing opcode strings and looking up
 # cost tables on every executed instruction.  Translation runs once per
 # Code object (cached on the object), folds each instruction's full
-# static cycle cost into the tuple -- OP_COST plus the per-operator
-# BINOP_COST / per-intrinsic ICALL_COST -- and pre-resolves binop and
-# intrinsic callables, so the accounted cycles are identical to the
-# string-dispatch interpreter by construction.
+# static cycle cost (``instr_cost``, the rule the generated code folds
+# too) into the tuple, and pre-resolves binop and intrinsic callables.
 
 (_N_LLOAD, _N_LSTORE, _N_CONST, _N_BINOP, _N_JUMP, _N_JFALSE,
  _N_GELOAD, _N_GESTORE, _N_GLOAD, _N_GSTORE, _N_ALOAD, _N_ASTORE,
@@ -194,7 +196,9 @@ _INTRINSICS = {
  _N_CS, _N_CBLB, _N_LBCB, _N_LCBLB, _N_LCBSJ,
  _N_IX, _N_IXGE, _N_CBLBGE) = range(24, 42)
 
-_SIMPLE_NUM = {
+#: Opcode number of every op whose argument passes through translation
+#: unchanged apart from its operator names (see ``BINOP_FIELDS``).
+_OPNUM = {
     "lload": _N_LLOAD, "lstore": _N_LSTORE, "const": _N_CONST,
     "jump": _N_JUMP, "jfalse": _N_JFALSE,
     "geload": _N_GELOAD, "gestore": _N_GESTORE,
@@ -203,157 +207,40 @@ _SIMPLE_NUM = {
     "dup": _N_DUP, "pop": _N_POP, "jnone": _N_JNONE,
     "unpack2": _N_UNPACK2, "call": _N_CALL, "ret": _N_RET,
     "rt": _N_RT, "print": _N_PRINT,
+    "ll2b": _N_LL2B, "cb": _N_CONSTB, "llst": _N_LLST, "cjf": _N_CMPJF,
+    "lcb": _N_LCB, "lb": _N_LB, "lcbs": _N_LCBS, "lcjf": _N_LCJF,
+    "llbs": _N_LLBS, "lljf": _N_LLJF, "cs": _N_CS, "cblb": _N_CBLB,
+    "lbcb": _N_LBCB, "lcblb": _N_LCBLB, "lcbsj": _N_LCBSJ,
+    "ix": _N_IX, "ixge": _N_IXGE, "cblbge": _N_CBLBGE,
 }
 
 
 def _translate(code: Code) -> List[Tuple]:
     """Build (and cache on ``code``) the fast instruction stream:
-    one ``(opnum, arg, cost)`` tuple per bytecode instruction."""
+    one ``(opnum, arg, cost)`` tuple per bytecode instruction, with
+    every operator name in ``arg`` replaced by its function."""
     fast: List[Tuple] = []
     for ins in code.instrs:
         op = ins[0]
+        arg = ins[1] if len(ins) > 1 else None
+        try:
+            cost = instr_cost(ins)
+        except KeyError:
+            raise VMError(f"unknown opcode {op!r}") from None
         if op == "binop":
-            o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_BINOP, fn, OP_COST[op] + BINOP_COST.get(o, 0)))
+            fast.append((_N_BINOP, _binop_fn(arg), cost))
         elif op == "icall":
-            name, nargs = ins[1]
+            name, nargs = arg
             fast.append((_N_ICALL1 if nargs == 1 else _N_ICALL2,
-                         _INTRINSICS[name],
-                         OP_COST[op] + ICALL_COST.get(name, 1)))
+                         _INTRINSICS[name], cost))
         elif op == "unop":
-            fast.append((_N_NEG if ins[1] == "-" else _N_NOT, None,
-                         OP_COST[op]))
-        elif op == "ll2b":
-            a, b, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LL2B, (a, b, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "cb":
-            k, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_CONSTB, (k, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "llst":
-            fast.append((_N_LLST, ins[1], OP_COST[op]))
-        elif op == "cjf":
-            o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_CMPJF, (fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcb":
-            a, k, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCB, (a, k, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lb":
-            b, o = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LB, (b, fn),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcbs":
-            a, k, o, d = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCBS, (a, k, fn, d),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "llbs":
-            a, b, o, d = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LLBS, (a, b, fn, d),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lcjf":
-            a, k, o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCJF, (a, k, fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "lljf":
-            a, b, o, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LLJF, (a, b, fn, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op == "cs":
-            fast.append((_N_CS, ins[1], OP_COST[op]))
-        elif op == "cblb":
-            k, o1, b, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_CBLB, (k, f1, b, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lbcb":
-            b, o1, k, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_LBCB, (b, f1, k, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lcblb":
-            a, k, o1, b, o2 = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_LCBLB, (a, k, f1, b, f2),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
-        elif op == "lcbsj":
-            a, k, o, d, tgt = ins[1]
-            fn = _BINOP_FN.get(o)
-            if fn is None:
-                raise VMError(f"unknown binop {o!r}")
-            fast.append((_N_LCBSJ, (a, k, fn, d, tgt),
-                         OP_COST[op] + BINOP_COST.get(o, 0)))
-        elif op in ("ix", "ixge"):
-            arg = ins[1]
-            a, k1, o1, b, o2, k2, o3, c, o4 = arg[:9]
-            fns = []
-            for o in (o1, o2, o3, o4):
-                fn = _BINOP_FN.get(o)
-                if fn is None:
-                    raise VMError(f"unknown binop {o!r}")
-                fns.append(fn)
-            cost = OP_COST[op] + sum(
-                BINOP_COST.get(o, 0) for o in (o1, o2, o3, o4))
-            packed = (a, k1, fns[0], b, fns[1], k2, fns[2], c, fns[3])
-            if op == "ix":
-                fast.append((_N_IX, packed, cost))
-            else:
-                fast.append((_N_IXGE, packed + (arg[9],), cost))
-        elif op == "cblbge":
-            k, o1, b, o2, g = ins[1]
-            f1, f2 = _BINOP_FN.get(o1), _BINOP_FN.get(o2)
-            if f1 is None or f2 is None:
-                raise VMError(f"unknown binop in {ins!r}")
-            fast.append((_N_CBLBGE, (k, f1, b, f2, g),
-                         OP_COST[op] + BINOP_COST.get(o1, 0)
-                         + BINOP_COST.get(o2, 0)))
+            fast.append((_N_NEG if arg == "-" else _N_NOT, None, cost))
         else:
-            num = _SIMPLE_NUM.get(op)
-            if num is None:
-                raise VMError(f"unknown opcode {op!r}")
-            fast.append((num, ins[1] if len(ins) > 1 else None,
-                         OP_COST[op]))
+            fields = BINOP_FIELDS.get(op)
+            if fields:
+                arg = tuple(_binop_fn(x) if i in fields else x
+                            for i, x in enumerate(arg))
+            fast.append((_OPNUM[op], arg, cost))
     code._fast = fast
     return fast
 
@@ -410,15 +297,15 @@ class VM:
         self.fast_read = None
         self.fast_write = None
         # Optional per-line cycle tally installed by a profiling probe:
-        # a dict mapping (function name, source line) -> busy cycles.
-        # When set, run() takes the instrumented twin of the dispatch
-        # loop; when None (the default) the hot loop is untouched.
+        # a dict mapping (function name, source line) -> busy cycles,
+        # filled by run()'s interpreter loop (the probe disables the
+        # generated code, which cannot attribute lines).
         self.profile = None
         # Generated-code tier (REPRO_HOTPATH "compile"): one exec'd
         # Python function per Code object, indexed by fidx.  None means
         # the interpreter loop runs -- tier off, image without attached
         # gen_src (hand-built test Codes), or a deopt (restore/corrupt/
-        # armed faults via disable_compiled).  Cycles and events are
+        # armed faults/a bound profiler via disable_compiled).  Cycles and events are
         # bit-identical either way; see interp.compile.
         if hotpath_enabled("compile"):
             self._cfns = _compiled_fns(program)
@@ -509,12 +396,15 @@ class VM:
         """Execute until the next event and return it.
 
         Dispatches on pre-translated ``(opnum, arg, cost)`` tuples (see
-        :func:`_translate`); cycle accounting is bit-identical to the
-        original string-dispatch loop because every instruction's full
-        static cost is folded into its tuple at translation time.
+        :func:`_translate`), or hands over to the generated code while
+        this VM has it.  With ``self.profile`` set, every instruction's
+        static cost -- and the +1 rt/print surcharge -- is also tallied
+        under its (function name, source line) key.  The tally only
+        records; it never feeds back into control flow or
+        ``pending_cycles``.  ``frame.pc`` is synced before every
+        ``fast_read``/``fast_write`` callback, so the shell's profiling
+        hooks attribute fast-path charges to the precise access site.
         """
-        if self.profile is not None:
-            return self._run_profiled()
         if self._cfns is not None:
             return self._run_compiled()
         if self.done:
@@ -525,6 +415,7 @@ class VM:
         frames = self.frames
         fast_read = self.fast_read
         fast_write = self.fast_write
+        prof = self.profile
         while True:
             frame = frames[-1]
             code = frame.code
@@ -532,6 +423,11 @@ class VM:
                 fi = code._fast
             except AttributeError:
                 fi = _translate(code)
+            if prof is not None:
+                fname = code.name
+                lines = getattr(code, "lines", None)
+                if not lines or len(lines) != len(fi):
+                    lines = [0] * len(fi)
             stack = frame.stack
             locs = frame.locals
             pc = frame.pc
@@ -540,6 +436,10 @@ class VM:
                 while True:
                     num, arg, cost = fi[pc]
                     cycles += cost
+                    if prof is not None:
+                        cur_key = (fname, lines[pc])
+                        if cost:
+                            prof[cur_key] = prof.get(cur_key, 0.0) + cost
                     # Dispatch arms are ordered by measured dynamic
                     # frequency over the static suite with fusion on
                     # (lb 22%, lcb 15%, binop 14%, cb 11%, const 10%,
@@ -576,13 +476,13 @@ class VM:
                         pc += 1
                     elif num == _N_GELOAD:
                         flat = stack.pop()
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(arg, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(arg, flat)
@@ -590,26 +490,26 @@ class VM:
                         a, k1, f1, b, f2, k2, f3, c, f4, g = arg
                         flat = f4(f3(f2(f1(locs[a], k1), locs[b]), k2),
                                   locs[c])
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(g, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(g, flat)
                     elif num == _N_CBLBGE:
                         k, f1, b, f2, g = arg
                         flat = f2(f1(stack.pop(), k), locs[b])
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(g, flat)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(g, flat)
@@ -632,11 +532,11 @@ class VM:
                     elif num == _N_GESTORE:
                         v = stack.pop()
                         flat = stack.pop()
+                        frame.pc = pc + 1
                         if fast_write is not None and \
                                 fast_write(arg, flat, v):
                             pc += 1
                             continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         return MemWrite(arg, flat, v)
                     elif num == _N_LCBSJ:
@@ -697,23 +597,23 @@ class VM:
                         locs[arg][flat] = v
                         pc += 1
                     elif num == _N_GLOAD:
+                        frame.pc = pc + 1
                         if fast_read is not None:
                             v = fast_read(arg, 0)
                             if v is not _MISS:
                                 stack.append(v)
                                 pc += 1
                                 continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         self._pending_push = True
                         return MemRead(arg, 0)
                     elif num == _N_GSTORE:
                         v = stack.pop()
+                        frame.pc = pc + 1
                         if fast_write is not None and \
                                 fast_write(arg, 0, v):
                             pc += 1
                             continue
-                        frame.pc = pc + 1
                         self.pending_cycles += cycles
                         return MemWrite(arg, 0, v)
                     elif num == _N_NEG:
@@ -774,12 +674,16 @@ class VM:
                             args = ()
                         frame.pc = pc + 1
                         self.pending_cycles += cycles + 1
+                        if prof is not None:
+                            prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
                         return RtCall(name, static, args)
                     elif num == _N_PRINT:
                         vals = tuple(stack[len(stack) - arg:])
                         del stack[len(stack) - arg:]
                         frame.pc = pc + 1
                         self.pending_cycles += cycles + 1
+                        if prof is not None:
+                            prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
                         return IoOut(vals)
                     else:
                         raise VMError(f"unknown opcode number {num!r}")
@@ -813,304 +717,3 @@ class VM:
                     self._cfns = None
                     return self.run()
                 return ev
-
-    def _run_profiled(self):
-        """Instrumented twin of :meth:`run` used when ``self.profile``
-        is set: identical dispatch, cycle accounting, and event order,
-        plus (a) every instruction's static cost -- and the +1 rt/print
-        surcharge -- is tallied into ``self.profile`` under its
-        (function name, source line) key, and (b) ``frame.pc`` is
-        synced before the fast_read/fast_write callbacks so the hosting
-        shell's profiling hooks can attribute fast-path memory charges
-        to the precise access site.  The tally only *records*; it never
-        feeds back into control flow or ``pending_cycles``, so cycles
-        stay bit-identical to the unprofiled loop.
-        """
-        if self.done:
-            return Done(self.result)
-        if self._pending_push:
-            raise VMError("event result was never pushed")
-        budget = self.MAX_SLICE
-        frames = self.frames
-        fast_read = self.fast_read
-        fast_write = self.fast_write
-        prof = self.profile
-        while True:
-            frame = frames[-1]
-            code = frame.code
-            try:
-                fi = code._fast
-            except AttributeError:
-                fi = _translate(code)
-            lines = getattr(code, "lines", None)
-            if not lines or len(lines) != len(fi):
-                lines = [0] * len(fi)
-            fname = code.name
-            cur_line = None
-            cur_key = None
-            stack = frame.stack
-            locs = frame.locals
-            pc = frame.pc
-            cycles = 0.0
-            try:
-                while True:
-                    num, arg, cost = fi[pc]
-                    cycles += cost
-                    ln = lines[pc]
-                    if ln != cur_line:
-                        cur_line = ln
-                        cur_key = (fname, ln)
-                    if cost:
-                        prof[cur_key] = prof.get(cur_key, 0.0) + cost
-                    # Same frequency-ordered dispatch as ``run`` -- see
-                    # the comment there.
-                    if num == _N_LB:
-                        stack[-1] = arg[1](stack[-1], locs[arg[0]])
-                        pc += 1
-                    elif num == _N_LCB:
-                        stack.append(arg[2](locs[arg[0]], arg[1]))
-                        pc += 1
-                    elif num == _N_CBLB:
-                        k, f1, b, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], k), locs[b])
-                        pc += 1
-                    elif num == _N_LBCB:
-                        b, f1, k, f2 = arg
-                        stack[-1] = f2(f1(stack[-1], locs[b]), k)
-                        pc += 1
-                    elif num == _N_LCBLB:
-                        a, k, f1, b, f2 = arg
-                        stack.append(f2(f1(locs[a], k), locs[b]))
-                        pc += 1
-                    elif num == _N_BINOP:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append(arg(a, b))
-                        pc += 1
-                    elif num == _N_CONSTB:
-                        stack[-1] = arg[1](stack[-1], arg[0])
-                        pc += 1
-                    elif num == _N_CONST:
-                        stack.append(arg)
-                        pc += 1
-                    elif num == _N_GELOAD:
-                        flat = stack.pop()
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(arg, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(arg, flat)
-                    elif num == _N_IXGE:
-                        a, k1, f1, b, f2, k2, f3, c, f4, g = arg
-                        flat = f4(f3(f2(f1(locs[a], k1), locs[b]), k2),
-                                  locs[c])
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_CBLBGE:
-                        k, f1, b, f2, g = arg
-                        flat = f2(f1(stack.pop(), k), locs[b])
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(g, flat)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(g, flat)
-                    elif num == _N_IX:
-                        a, k1, f1, b, f2, k2, f3, c, f4 = arg
-                        stack.append(f4(f3(f2(f1(locs[a], k1), locs[b]),
-                                           k2), locs[c]))
-                        pc += 1
-                    elif num == _N_JUMP:
-                        if arg < pc:
-                            budget -= 1
-                            if budget <= 0:
-                                frame.pc = arg
-                                self.pending_cycles += cycles
-                                return TimeSlice()
-                        pc = arg
-                    elif num == _N_GESTORE:
-                        v = stack.pop()
-                        flat = stack.pop()
-                        if fast_write is not None:
-                            frame.pc = pc + 1
-                            if fast_write(arg, flat, v):
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        return MemWrite(arg, flat, v)
-                    elif num == _N_LCBSJ:
-                        a, k, fn, d, t = arg
-                        locs[d] = fn(locs[a], k)
-                        if t <= pc:
-                            # Absorbed backward jump: same slice-budget
-                            # enforcement as the standalone _N_JUMP arm.
-                            budget -= 1
-                            if budget <= 0:
-                                frame.pc = t
-                                self.pending_cycles += cycles
-                                return TimeSlice()
-                        pc = t
-                    elif num == _N_LCJF:
-                        a, k, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], k) else t
-                    elif num == _N_LCBS:
-                        a, k, fn, d = arg
-                        locs[d] = fn(locs[a], k)
-                        pc += 1
-                    elif num == _N_CS:
-                        locs[arg[1]] = arg[0]
-                        pc += 1
-                    elif num == _N_LSTORE:
-                        locs[arg] = stack.pop()
-                        pc += 1
-                    elif num == _N_JFALSE:
-                        pc = arg if not stack.pop() else pc + 1
-                    elif num == _N_LLOAD:
-                        stack.append(locs[arg])
-                        pc += 1
-                    elif num == _N_LL2B:
-                        a, b, fn = arg
-                        stack.append(fn(locs[a], locs[b]))
-                        pc += 1
-                    elif num == _N_LLBS:
-                        a, b, fn, d = arg
-                        locs[d] = fn(locs[a], locs[b])
-                        pc += 1
-                    elif num == _N_LLJF:
-                        a, b, fn, t = arg
-                        pc = pc + 1 if fn(locs[a], locs[b]) else t
-                    elif num == _N_CMPJF:
-                        b = stack.pop()
-                        a = stack.pop()
-                        pc = pc + 1 if arg[0](a, b) else arg[1]
-                    elif num == _N_LLST:
-                        locs[arg[1]] = locs[arg[0]]
-                        pc += 1
-                    elif num == _N_ALOAD:
-                        flat = stack.pop()
-                        stack.append(locs[arg][flat].item())
-                        pc += 1
-                    elif num == _N_ASTORE:
-                        v = stack.pop()
-                        flat = stack.pop()
-                        locs[arg][flat] = v
-                        pc += 1
-                    elif num == _N_GLOAD:
-                        if fast_read is not None:
-                            frame.pc = pc + 1
-                            v = fast_read(arg, 0)
-                            if v is not _MISS:
-                                stack.append(v)
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        self._pending_push = True
-                        return MemRead(arg, 0)
-                    elif num == _N_GSTORE:
-                        v = stack.pop()
-                        if fast_write is not None:
-                            frame.pc = pc + 1
-                            if fast_write(arg, 0, v):
-                                pc += 1
-                                continue
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles
-                        return MemWrite(arg, 0, v)
-                    elif num == _N_NEG:
-                        stack[-1] = -stack[-1]
-                        pc += 1
-                    elif num == _N_NOT:
-                        stack[-1] = 0 if stack[-1] else 1
-                        pc += 1
-                    elif num == _N_DUP:
-                        stack.append(stack[-1])
-                        pc += 1
-                    elif num == _N_POP:
-                        stack.pop()
-                        pc += 1
-                    elif num == _N_JNONE:
-                        if stack[-1] is None:
-                            stack.pop()
-                            pc = arg
-                        else:
-                            pc += 1
-                    elif num == _N_UNPACK2:
-                        a, b = stack.pop()
-                        stack.append(a)
-                        stack.append(b)
-                        pc += 1
-                    elif num == _N_ICALL1:
-                        stack.append(arg(stack.pop()))
-                        pc += 1
-                    elif num == _N_ICALL2:
-                        b = stack.pop()
-                        a = stack.pop()
-                        stack.append(arg(a, b))
-                        pc += 1
-                    elif num == _N_CALL:
-                        fidx, nargs = arg
-                        args = tuple(stack[len(stack) - nargs:])
-                        del stack[len(stack) - nargs:]
-                        frame.pc = pc + 1
-                        nf = Frame(fidx, self.program.funcs[fidx], args)
-                        frames.append(nf)
-                        break           # switch to the new frame
-                    elif num == _N_RET:
-                        rv = stack.pop() if stack else 0
-                        frames.pop()
-                        if not frames:
-                            self.done = True
-                            self.result = rv
-                            self.pending_cycles += cycles
-                            return Done(rv)
-                        frames[-1].stack.append(rv)
-                        break           # back to the caller's frame
-                    elif num == _N_RT:
-                        name, static, nargs = arg
-                        if nargs:
-                            args = tuple(stack[len(stack) - nargs:])
-                            del stack[len(stack) - nargs:]
-                        else:
-                            args = ()
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
-                        return RtCall(name, static, args)
-                    elif num == _N_PRINT:
-                        vals = tuple(stack[len(stack) - arg:])
-                        del stack[len(stack) - arg:]
-                        frame.pc = pc + 1
-                        self.pending_cycles += cycles + 1
-                        prof[cur_key] = prof.get(cur_key, 0.0) + 1.0
-                        return IoOut(vals)
-                    else:
-                        raise VMError(f"unknown opcode number {num!r}")
-            except IndexError:
-                instrs = code.instrs
-                raise VMError(
-                    f"VM fault in {code.name} at pc={pc}: "
-                    f"{instrs[pc] if pc < len(instrs) else 'pc out of range'}"
-                ) from None
-            self.pending_cycles += cycles

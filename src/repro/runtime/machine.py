@@ -32,7 +32,7 @@ from .team import Team
 from .words import RTWord
 
 __all__ = ["Machine", "RunResult", "run_program", "MODES",
-           "SimDeadlockError", "DeadlockError"]
+           "SimDeadlockError"]
 
 MODES = ("single", "double", "slipstream")
 
@@ -132,10 +132,6 @@ class SimDeadlockError(RuntimeError):
         if stuck:
             s += f"; {stuck} blocked stream(s)"
         return s
-
-
-#: Backward-compatible alias (pre-watchdog name).
-DeadlockError = SimDeadlockError
 
 
 class Machine:

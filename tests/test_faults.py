@@ -14,7 +14,7 @@ from repro.faults import (CLASS_KINDS, FAULT_CLASSES, FAULT_KINDS,
 from repro.interp import VM
 from repro.interp.events import MemRead, TimeSlice
 from repro.obs.probe import NULL_PROBE
-from repro.runtime import (DeadlockError, SimDeadlockError, run_program)
+from repro.runtime import SimDeadlockError, run_program
 from repro.sim import Engine
 from repro.sim.resources import Server
 from repro.slipstream.channel import PairChannel
@@ -188,8 +188,7 @@ void main() {
     assert "blocked" in str(e)
 
 
-def test_deadlock_error_alias_and_runtimeerror_compat():
-    assert DeadlockError is SimDeadlockError
+def test_sim_deadlock_error_is_runtimeerror():
     assert issubclass(SimDeadlockError, RuntimeError)
 
 

@@ -154,10 +154,21 @@ def test_load_verified_quarantines_and_logs(tmp_path):
                for e in events)
 
 
-def test_load_verified_accepts_legacy_unframed_pickle(tmp_path):
+def test_load_verified_quarantines_unframed_pickle(tmp_path):
+    """A bare pickle carries no digest, so it is unverifiable: a
+    quarantined miss, never an unchecked load."""
     path = tmp_path / "old.run"
-    path.write_bytes(pickle.dumps({"legacy": 1}))
-    assert load_verified(path) == {"legacy": 1}
+    path.write_bytes(pickle.dumps({"unframed": 1}))
+    tel = Telemetry(root=tmp_path / "telemetry", role="driver")
+    got = load_verified(path, quarantine_to=tmp_path / "corrupt",
+                        telemetry=tel, what="journal", unit="u2")
+    tel.close()
+    assert got is None
+    assert not path.exists()
+    assert [p.name for p in (tmp_path / "corrupt").iterdir()] == ["old.run"]
+    events = read_events(tmp_path / "telemetry")
+    assert any(e["event"] == "integrity.corrupt" and e.get("unit") == "u2"
+               and e.get("what") == "journal" for e in events)
 
 
 # -- publish hazards (corrupt / disk-full) -----------------------------------

@@ -358,12 +358,14 @@ def test_corrupt_deopts():
 
 
 def test_profile_binding_takes_priority():
-    """A profiling VM must take ``_run_profiled`` even with compiled
-    functions attached -- and tally the same busy cycles."""
+    """Binding a profile drops a VM with compiled functions attached
+    to the line-attributing interpreter loop -- with the same busy
+    cycles as the generated code."""
     prog = compile_source(SRC_LOOP)
     vm = VM(prog, prog.main_index)
     assert vm._cfns is not None
     TrackProfile("T0").bind_vm(vm)
+    assert vm._cfns is None
     t_p, s_p, _ = _drive_bound(vm, prog)
     t_c, s_c, _ = drive(prog, compiled=True)
     assert t_p == t_c and s_p == s_c

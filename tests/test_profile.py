@@ -3,13 +3,18 @@
 Covers the whole chain: the compiler's per-instruction ``lines`` table
 (including the peephole optimizer keeping it in sync and the compile
 cache carrying it), the ``TrackProfile`` settle clock, sum-to-busy
-exactness against the breakdowns, the collapsed-stack export format,
+exactness against the breakdowns, three golden full profiles pinned
+bucket for bucket, the collapsed-stack export format,
 ``TeeSink`` composition, and the ``repro profile run`` / ``repro bench
 --profile`` CLI verbs.
 """
 
+import hashlib
 import io
+import json
 import pickle
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -205,6 +210,51 @@ def test_profile_does_not_perturb_cycles():
     assert prof.r_breakdown == plain.r_breakdown
 
 
+# ------------------------------------------------ golden line profiles
+
+#: Full line profiles of three test-size runs at 4 CMPs: cycles, bucket
+#: count, a sha256 over every track's sorted buckets, and the
+#: ``line_totals`` rows.  Per-category sums cannot see a cycle moved
+#: from one line to another; the digest can.  Regenerate with
+#: ``PYTHONPATH=src python tests/test_profile.py --regen`` only when a
+#: change is meant to move cycles.
+GOLDEN_PROFILES = Path(__file__).with_name("golden_profiles.json")
+GOLDEN_RUNS = (("cg", "L1"), ("bt", "G0"), ("mg", "double"))
+
+
+def profile_digest(profile) -> str:
+    h = hashlib.sha256()
+    for track in sorted(profile):
+        h.update(track.encode())
+        h.update(repr(sorted(profile[track].items())).encode())
+    return h.hexdigest()
+
+
+def golden_entry(bench: str, config: str) -> dict:
+    result = run_benchmark(bench, config, cfg=CFG, size="test",
+                           obs="profile").result
+    prof = result.profile
+    return {"cycles": result.cycles,
+            "buckets": sum(len(t) for t in prof.values()),
+            "sha256": profile_digest(prof),
+            "lines": [[func, line, row] for (func, line), row
+                      in sorted(line_totals(prof).items())]}
+
+
+@pytest.mark.parametrize("bench,config", GOLDEN_RUNS,
+                         ids=["/".join(r) for r in GOLDEN_RUNS])
+def test_golden_line_profile(bench, config):
+    want = json.loads(GOLDEN_PROFILES.read_text())[f"{bench}/{config}"]
+    got = golden_entry(bench, config)
+    if got != want:
+        old = {(f, ln): row for f, ln, row in want["lines"]}
+        new = {(f, ln): row for f, ln, row in got["lines"]}
+        for key in sorted(old.keys() | new.keys()):
+            if old.get(key) != new.get(key):
+                print(f"{key}: golden {old.get(key)} got {new.get(key)}")
+    assert got == want
+
+
 # ------------------------------------------------- shaping and export
 
 def test_line_totals_streams_split(profiled):
@@ -298,3 +348,13 @@ def test_cli_trace_merged_under_pool_validates(demo, tmp_path):
                        "--jobs", "2", "--trace", str(trace)])
     assert rc == 0
     assert trace_main([str(trace)]) == 0
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--regen"]:
+    parts = []                        # one line per line_totals row
+    for b, c in GOLDEN_RUNS:
+        entry = golden_entry(b, c)
+        rows = ",\n  ".join(json.dumps(r) for r in entry.pop("lines"))
+        parts.append(f' "{b}/{c}": {json.dumps(entry)[:-1]}, '
+                     f'"lines": [\n  {rows}]}}')
+    GOLDEN_PROFILES.write_text("{\n" + ",\n".join(parts) + "\n}\n")
